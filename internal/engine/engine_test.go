@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -317,5 +318,45 @@ func TestStatsAggregation(t *testing.T) {
 	if empty.MeanEMU() != 0 || empty.MeanBEThroughput() != 0 ||
 		empty.MeanCPUUtil() != 0 || empty.MeanMemBWUtil() != 0 {
 		t.Fatal("empty stats should be zero")
+	}
+}
+
+// TestStatsMeansIgnoreMapOrder pins the across-pod means to one summation
+// order: on a many-pod RunStats whose values do not add associatively, a
+// map-order sum changes its last bit between calls. Every call must return
+// the same bits, equal to the sum taken in pod-name order.
+func TestStatsMeansIgnoreMapOrder(t *testing.T) {
+	const pods = 64
+	st := &RunStats{PerPod: map[string]*PodStats{}}
+	names := make([]string, pods)
+	for i := range names {
+		names[i] = fmt.Sprintf("pod-%02d", i)
+		// Magnitudes spread over many binades, so reordering the sum
+		// almost surely moves its rounding.
+		v := math.Pow(1.37, float64(i%23)) / 3 * (1 + float64(i)/7)
+		st.PerPod[names[i]] = &PodStats{EMU: v, BEThroughput: v / 5, CPUUtil: v / 7, MemBWUtil: v / 11}
+	}
+	means := []struct {
+		name string
+		mean func() float64
+		get  func(*PodStats) float64
+	}{
+		{"MeanEMU", st.MeanEMU, func(p *PodStats) float64 { return p.EMU }},
+		{"MeanBEThroughput", st.MeanBEThroughput, func(p *PodStats) float64 { return p.BEThroughput }},
+		{"MeanCPUUtil", st.MeanCPUUtil, func(p *PodStats) float64 { return p.CPUUtil }},
+		{"MeanMemBWUtil", st.MeanMemBWUtil, func(p *PodStats) float64 { return p.MemBWUtil }},
+	}
+	for _, m := range means {
+		var sum float64
+		for _, name := range names { // names is already in sorted order
+			sum += m.get(st.PerPod[name])
+		}
+		want := math.Float64bits(sum / pods)
+		for call := 0; call < 200; call++ {
+			if got := math.Float64bits(m.mean()); got != want {
+				t.Fatalf("%s call %d: bits %#x, want pod-name-order sum %#x",
+					m.name, call, got, want)
+			}
+		}
 	}
 }

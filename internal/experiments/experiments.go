@@ -146,6 +146,7 @@ type Context struct {
 
 	gridOnce sync.Once
 	gridErr  error
+	gridWall time.Duration
 
 	sweepOnce  sync.Once
 	sweepErr   error
@@ -250,6 +251,9 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   Runner
+	// grid marks the figures rendered from the shared comparison grid
+	// (fig9-fig14): Context.Run fetches the grid before running them.
+	grid bool
 }
 
 var (
@@ -263,6 +267,12 @@ var (
 
 func register(id, title string, run Runner) {
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
+}
+
+// registerGrid registers a figure rendered from the shared comparison
+// grid.
+func registerGrid(id, title string, run Runner) {
+	registry[id] = Experiment{ID: id, Title: title, Run: run, grid: true}
 }
 
 // registerScenario registers an on-demand scenario experiment: Get and
@@ -313,9 +323,16 @@ func Get(id string) (Experiment, error) {
 // start/end events, so a trace groups every engine run under the
 // experiment that caused it.
 func (c *Context) Run(id string) (*Table, error) {
+	tab, _, err := c.run(id)
+	return tab, err
+}
+
+// run is Run that also reports how long the experiment spent computing or
+// waiting for the shared grid prefetch (zero for non-grid experiments).
+func (c *Context) run(id string) (tab *Table, prefetch time.Duration, err error) {
 	e, err := Get(id)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var sc obs.Scope
 	if bus := obs.Active(); bus != nil {
@@ -326,9 +343,16 @@ func (c *Context) Run(id string) (*Table, error) {
 		// back to know what to re-run (calibration.ExperimentIDs).
 		bus.Counter("rhythm_experiments_total", "id", id).Inc()
 	}
-	tab, err := e.Run(c)
+	if e.grid {
+		start := time.Now()
+		err = c.ensureGrid()
+		prefetch = time.Since(start)
+	}
+	if err == nil {
+		tab, err = e.Run(c)
+	}
 	sc.Experiment(id, "end")
-	return tab, err
+	return tab, prefetch, err
 }
 
 // f2 formats a float with 2 decimals; f3 with 3; pct as a percentage.

@@ -12,22 +12,22 @@ import (
 )
 
 func init() {
-	register("fig9", "BE throughput at Servpods under different loads (Fig. 9)", func(c *Context) (*Table, error) {
+	registerGrid("fig9", "BE throughput at Servpods under different loads (Fig. 9)", func(c *Context) (*Table, error) {
 		return podGrid(c, "fig9", "BE throughput (normalized jobs/hour)", func(p *engine.PodStats) float64 { return p.BEThroughput })
 	})
-	register("fig10", "CPU utilization at Servpods under different loads (Fig. 10)", func(c *Context) (*Table, error) {
+	registerGrid("fig10", "CPU utilization at Servpods under different loads (Fig. 10)", func(c *Context) (*Table, error) {
 		return podGrid(c, "fig10", "CPU utilization", func(p *engine.PodStats) float64 { return p.CPUUtil })
 	})
-	register("fig11", "Memory-bandwidth utilization at Servpods under different loads (Fig. 11)", func(c *Context) (*Table, error) {
+	registerGrid("fig11", "Memory-bandwidth utilization at Servpods under different loads (Fig. 11)", func(c *Context) (*Table, error) {
 		return podGrid(c, "fig11", "memory-bandwidth utilization", func(p *engine.PodStats) float64 { return p.MemBWUtil })
 	})
-	register("fig12", "EMU improvement over Heracles (Fig. 12)", func(c *Context) (*Table, error) {
+	registerGrid("fig12", "EMU improvement over Heracles (Fig. 12)", func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig12", "EMU", func(r *engine.RunStats) float64 { return r.MeanEMU() })
 	})
-	register("fig13", "CPU-utilization improvement over Heracles (Fig. 13)", func(c *Context) (*Table, error) {
+	registerGrid("fig13", "CPU-utilization improvement over Heracles (Fig. 13)", func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig13", "CPU utilization", func(r *engine.RunStats) float64 { return r.MeanCPUUtil() })
 	})
-	register("fig14", "Memory-bandwidth-utilization improvement over Heracles (Fig. 14)", func(c *Context) (*Table, error) {
+	registerGrid("fig14", "Memory-bandwidth-utilization improvement over Heracles (Fig. 14)", func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig14", "memory-bandwidth utilization", func(r *engine.RunStats) float64 { return r.MeanMemBWUtil() })
 	})
 }
@@ -110,15 +110,31 @@ func (c *Context) gridKeys() []gridKey {
 // All six grid figures share the cells, so the first grid experiment pays
 // for the sweep once — in parallel — and the rest render from cache. The
 // first error in cell order is reported, matching the serial loop.
+// Context.Run calls it before every grid figure, inside the figure's
+// trace bracket, and bills the wait to Result.Prefetch.
 func (c *Context) ensureGrid() error {
 	c.gridOnce.Do(func() {
+		start := time.Now()
 		keys := c.gridKeys()
 		c.gridErr = sim.ForEachErr(len(keys), c.jobs(), func(i int) error {
 			_, err := c.gridRun(keys[i])
 			return err
 		})
+		c.mu.Lock()
+		c.gridWall = time.Since(start)
+		c.mu.Unlock()
 	})
 	return c.gridErr
+}
+
+// GridPrefetch returns the wall time of the grid prefetch that fig9-fig14
+// share, or zero when no grid figure has run on the context. Each grid
+// figure's Result.Prefetch includes its wait on this one computation, so
+// a batch total counts it once: the sum of Elapsed-Prefetch plus this.
+func (c *Context) GridPrefetch() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gridWall
 }
 
 func hash(s string) uint64 {
@@ -133,9 +149,6 @@ func hash(s string) uint64 {
 // podGrid renders Figs. 9-11: the focus Servpod's metric under Rhythm and
 // Heracles across BE types and loads.
 func podGrid(ctx *Context, id, metric string, get func(*engine.PodStats) float64) (*Table, error) {
-	if err := ctx.ensureGrid(); err != nil {
-		return nil, err
-	}
 	loads := gridLoads(ctx.Opts.Quick)
 	cols := []string{"servpod/service", "BE", "policy"}
 	for _, l := range loads {
@@ -186,9 +199,6 @@ func podGrid(ctx *Context, id, metric string, get func(*engine.PodStats) float64
 // serviceGrid renders Figs. 12-14: the relative improvement of a
 // service-level metric, (Rhythm-Heracles)/Heracles.
 func serviceGrid(ctx *Context, id, metric string, get func(*engine.RunStats) float64) (*Table, error) {
-	if err := ctx.ensureGrid(); err != nil {
-		return nil, err
-	}
 	loads := gridLoads(ctx.Opts.Quick)
 	cols := []string{"service", "BE"}
 	for _, l := range loads {

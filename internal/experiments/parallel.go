@@ -13,10 +13,15 @@ type Result struct {
 	Err   error
 	// Elapsed is this experiment's own wall-clock time. Because
 	// experiments share singleflight caches, the first experiment to need
-	// an expensive artifact (a deployment, the comparison grid) absorbs
-	// its cost; summing Elapsed over a batch approximates the
-	// single-worker wall-clock, which is how the CLI estimates speedup.
+	// an expensive artifact (a deployment) absorbs its cost.
 	Elapsed time.Duration
+	// Prefetch is the part of Elapsed a grid figure (fig9-fig14) spent
+	// computing or waiting for the grid prefetch the six share; zero for
+	// every other experiment. Several grid figures may wait on the one
+	// prefetch at once, so the CLI approximates the single-worker
+	// wall-clock (and the speedup) as Context.GridPrefetch plus the sum
+	// of Elapsed-Prefetch over the batch.
+	Prefetch time.Duration
 }
 
 // RunAll executes the experiments named by ids (every registered
@@ -40,8 +45,8 @@ func (c *Context) RunAll(ids []string, jobs int) []Result {
 	out := make([]Result, len(ids))
 	sim.ForEach(len(ids), jobs, func(i int) {
 		start := time.Now()
-		tab, err := c.Run(ids[i])
-		out[i] = Result{ID: ids[i], Table: tab, Err: err, Elapsed: time.Since(start)}
+		tab, prefetch, err := c.run(ids[i])
+		out[i] = Result{ID: ids[i], Table: tab, Err: err, Elapsed: time.Since(start), Prefetch: prefetch}
 	})
 	return out
 }

@@ -13,7 +13,8 @@ import (
 // cover every concurrency mechanism: scratch-RNG experiments (fig2, fig7,
 // ablations), deployment-backed figures (fig6, fig8, tab1) and the
 // controller timeline (fig17). The full registry — including the grid
-// prefetch and threshold sweep — runs on plain `go test`.
+// prefetch and threshold sweep — runs on plain `go test`; the fan-out
+// behind fig15 and fig16 runs under -race in TestCompareAllMatchesSerial.
 func determinismIDs() []string {
 	if sim.RaceEnabled || testing.Short() {
 		return []string{
@@ -57,6 +58,15 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		if got, want := p.Table.String(), s.Table.String(); got != want {
 			t.Errorf("%s: jobs=4 table differs from serial\nserial:\n%s\njobs=4:\n%s",
 				id, want, got)
+		}
+		e, _ := Get(id)
+		for _, r := range []Result{s, p} {
+			if r.Prefetch < 0 || r.Prefetch > r.Elapsed || (!e.grid && r.Prefetch != 0) {
+				t.Errorf("%s: prefetch %v of elapsed %v (grid figure: %v)", id, r.Prefetch, r.Elapsed, e.grid)
+			}
+		}
+		if e.grid && (serialCtx.GridPrefetch() <= 0 || parallelCtx.GridPrefetch() <= 0) {
+			t.Errorf("%s ran but the grid prefetch was not timed", id)
 		}
 	}
 }

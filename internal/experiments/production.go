@@ -7,6 +7,7 @@ import (
 	"rhythm/internal/bejobs"
 	"rhythm/internal/core"
 	"rhythm/internal/loadgen"
+	"rhythm/internal/sim"
 )
 
 func init() {
@@ -37,9 +38,36 @@ func productionPattern(ctx *Context) (*loadgen.Diurnal, time.Duration, time.Dura
 	return d, duration, warmup
 }
 
+// compareCell is one independent Rhythm-vs-Heracles comparison of a
+// figure: a deployed system and the run configuration (content-keyed seed
+// included) it is compared under.
+type compareCell struct {
+	sys *core.System
+	cfg core.RunConfig
+}
+
+// compareAll runs every cell's comparison across the context's worker pool
+// and returns the comparisons in cell order; the first error in cell order
+// wins, as in a serial loop. A deployed System is read-only during a run
+// and every cell carries its own seed, so the comparisons do not depend on
+// the worker count. Callers fold them into rows and headline statistics
+// afterwards, in one serial pass in cell order: float sums and strict-max
+// ties depend on order.
+func (c *Context) compareAll(cells []compareCell) ([]*core.Comparison, error) {
+	cmps := make([]*core.Comparison, len(cells))
+	err := sim.ForEachErr(len(cells), c.jobs(), func(i int) error {
+		var err error
+		cmps[i], err = cells[i].sys.Compare(cells[i].cfg)
+		return err
+	})
+	return cmps, err
+}
+
 // fig15 reports, per LC service x BE job, the average EMU / CPU / MemBW
 // improvements over Heracles under the production load, plus Rhythm's
-// worst p99 normalized to the SLA (Fig. 15d must stay <= 1).
+// worst p99 normalized to the SLA (Fig. 15d must stay <= 1). The 30
+// groups run as independent comparisons across the worker pool; rows and
+// headline notes are folded afterwards in group order.
 func fig15(ctx *Context) (*Table, error) {
 	pattern, duration, warmup := productionPattern(ctx)
 	t := &Table{
@@ -49,45 +77,47 @@ func fig15(ctx *Context) (*Table, error) {
 			"MemBW impr", "p99/SLA(Rhythm)", "violations"},
 	}
 	services := []string{"E-commerce", "Redis", "Solr", "Elgg", "Elasticsearch"}
-	var worstRatio, bestEMU float64
-	var bestGroup string
-	allSafe := true
-	safeGroups, totalGroups := 0, 0
+	types := bejobs.EvaluationTypes()
+	cells := make([]compareCell, 0, len(services)*len(types))
 	for _, name := range services {
 		sys, err := ctx.System(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, be := range bejobs.EvaluationTypes() {
-			cmp, err := sys.Compare(core.RunConfig{
+		for _, be := range types {
+			cells = append(cells, compareCell{sys, core.RunConfig{
 				Pattern:  pattern,
 				BETypes:  []bejobs.Type{be},
 				Duration: duration,
 				Warmup:   warmup,
 				Seed:     ctx.Opts.Seed ^ hash(name+string(be)+"fig15"),
 				Faults:   ctx.Opts.Faults,
-			})
-			if err != nil {
-				return nil, err
-			}
-			emu := core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
-			cpu := core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
-			mbw := core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
-			ratio := cmp.Rhythm.WorstP99 / sys.SLA
-			t.AddRow(name, string(be), pct(emu), pct(cpu), pct(mbw),
-				f3(ratio), fmt.Sprintf("%d", cmp.Rhythm.Violations))
-			if ratio > worstRatio {
-				worstRatio = ratio
-			}
-			totalGroups++
-			if cmp.Rhythm.Violations > 0 {
-				allSafe = false
-			} else {
-				safeGroups++
-			}
-			if emu > bestEMU {
-				bestEMU, bestGroup = emu, name+"-"+string(be)
-			}
+			}})
+		}
+	}
+	cmps, err := ctx.compareAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	var worstRatio, bestEMU float64
+	var bestGroup string
+	safeGroups := 0
+	for i, cmp := range cmps {
+		name, be := services[i/len(types)], types[i%len(types)]
+		emu := core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
+		cpu := core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
+		mbw := core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
+		ratio := cmp.Rhythm.WorstP99 / cells[i].sys.SLA
+		t.AddRow(name, string(be), pct(emu), pct(cpu), pct(mbw),
+			f3(ratio), fmt.Sprintf("%d", cmp.Rhythm.Violations))
+		if ratio > worstRatio {
+			worstRatio = ratio
+		}
+		if cmp.Rhythm.Violations == 0 {
+			safeGroups++
+		}
+		if emu > bestEMU {
+			bestEMU, bestGroup = emu, name+"-"+string(be)
 		}
 	}
 	// The paper reports a 0.99 worst case with zero violations. This
@@ -96,12 +126,12 @@ func fig15(ctx *Context) (*Table, error) {
 	// the reproduction target is: the vast majority of groups strictly
 	// violation-free and the residual excursions bounded.
 	status := "OK"
-	if float64(safeGroups) < 0.85*float64(totalGroups) || worstRatio > 1.8 {
+	if float64(safeGroups) < 0.85*float64(len(cmps)) || worstRatio > 1.8 {
 		status = "MISMATCH"
 	}
 	t.Note("violation-free groups: %d/%d; worst p99/SLA %.3f — paper: 30/30 at 0.99 [%s]",
-		safeGroups, totalGroups, worstRatio, status)
-	t.Note("all groups violation-free: %v", allSafe)
+		safeGroups, len(cmps), worstRatio, status)
+	t.Note("all groups violation-free: %v", safeGroups == len(cmps))
 	t.Note("best EMU improvement: %s in %s — paper: up to 31.7%% (Solr-ImageClassify)", pct(bestEMU), bestGroup)
 	return t, nil
 }
@@ -109,6 +139,8 @@ func fig15(ctx *Context) (*Table, error) {
 // fig16 evaluates the microservice workload SNMS: EMU, CPU and MemBW under
 // LC-alone, +Heracles, +Rhythm across BE types and loads. SNMS profiling
 // uses its built-in tracer (jaeger), not Rhythm's request tracer (§5.3.2).
+// Like fig15, the BE x load cells run across the worker pool and fold in
+// cell order.
 func fig16(ctx *Context) (*Table, error) {
 	sys, err := ctx.System("SNMS")
 	if err != nil {
@@ -125,41 +157,49 @@ func fig16(ctx *Context) (*Table, error) {
 		Columns: []string{"BE", "load", "EMU(solo)", "EMU(Her)", "EMU(Rhy)",
 			"CPU(Her)", "CPU(Rhy)", "MemBW(Her)", "MemBW(Rhy)"},
 	}
-	var emuImpSum, cpuImpSum, mbwImpSum float64
-	var n int
-	for _, be := range bejobs.EvaluationTypes() {
+	types := bejobs.EvaluationTypes()
+	cells := make([]compareCell, 0, len(types)*len(loads))
+	for _, be := range types {
 		for _, load := range loads {
-			cfg := core.RunConfig{
+			cells = append(cells, compareCell{sys, core.RunConfig{
 				Pattern:  loadgen.Constant(load),
 				BETypes:  []bejobs.Type{be},
 				Duration: dur,
 				Warmup:   warm,
 				Seed:     ctx.Opts.Seed ^ hash("fig16"+string(be)) ^ uint64(load*1000),
 				Faults:   ctx.Opts.Faults,
-			}
-			cmp, err := sys.Compare(cfg)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(string(be), pct(load),
-				f3(load), // solo EMU = the LC load itself
-				f3(cmp.Heracles.MeanEMU()), f3(cmp.Rhythm.MeanEMU()),
-				f3(cmp.Heracles.MeanCPUUtil()), f3(cmp.Rhythm.MeanCPUUtil()),
-				f3(cmp.Heracles.MeanMemBWUtil()), f3(cmp.Rhythm.MeanMemBWUtil()))
-			emuImpSum += core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
-			cpuImpSum += core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
-			mbwImpSum += core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
-			n++
+			}})
 		}
 	}
+	cmps, err := ctx.compareAll(cells)
+	if err != nil {
+		return nil, err
+	}
+	var emuImpSum, cpuImpSum, mbwImpSum float64
+	for i, cmp := range cmps {
+		t.AddRow(fig16Row(types[i/len(loads)], loads[i%len(loads)], cmp)...)
+		emuImpSum += core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
+		cpuImpSum += core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
+		mbwImpSum += core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
+	}
+	n := float64(len(cmps))
 	for _, c := range sys.Profile.Contributions {
 		th := sys.Thresholds[c.Pod]
 		t.Note("contribution(%s) = %.3f, slacklimit %.3f — paper: 0.295/0.14/0.565 for media/frontend/user",
 			c.Pod, c.Normalized, th.Slacklimit)
 	}
 	t.Note("mean improvements: EMU %s, CPU %s, MemBW %s — paper: 14.3%%, 30.2%%, 45.8%%",
-		pct(emuImpSum/float64(n)), pct(cpuImpSum/float64(n)), pct(mbwImpSum/float64(n)))
+		pct(emuImpSum/n), pct(cpuImpSum/n), pct(mbwImpSum/n))
 	return t, nil
+}
+
+// fig16Row renders one fig16 cell: the BE job and load, then EMU, CPU and
+// MemBW under each policy (solo EMU is the LC load itself).
+func fig16Row(be bejobs.Type, load float64, cmp *core.Comparison) []string {
+	return []string{string(be), pct(load), f3(load),
+		f3(cmp.Heracles.MeanEMU()), f3(cmp.Rhythm.MeanEMU()),
+		f3(cmp.Heracles.MeanCPUUtil()), f3(cmp.Rhythm.MeanCPUUtil()),
+		f3(cmp.Heracles.MeanMemBWUtil()), f3(cmp.Rhythm.MeanMemBWUtil())}
 }
 
 // ProductionPatternForDebug exposes the production pattern for debugging
