@@ -1,7 +1,8 @@
 # Pre-PR gate for the Rhythm reproduction. `make check` is the bar every
-# change must clear (see README "Install / build"): formatting, vet, a
-# clean build, the differential-exactness test for the incremental tail
-# tracker (uncached, so it always actually runs), and the full test suite
+# change must clear (see README "Install / build"): formatting, vet (also
+# cross-compiled for arm64), a clean build, the differential-exactness test
+# for the incremental tail tracker (uncached, so it always actually runs),
+# the sampler's scalar path under the purego tag, and the full test suite
 # under the race detector — the experiment engine is concurrent, so -race
 # is part of tier-1 here, not an extra. The race run uses a raised timeout:
 # -race slows the simulation ~5-10x and the experiments package regenerates
@@ -14,9 +15,9 @@ GO ?= go
 # CI always has network and runs it for real.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check fmt vet build test exact race staticcheck bench bench-tables bench-compare bench-gate golden golden-update scenario-lint calibrate-smoke tournament-smoke
+.PHONY: check fmt vet vet-cross build test exact purego race staticcheck bench bench-tables bench-compare bench-gate golden golden-update scenario-lint calibrate-smoke tournament-smoke
 
-check: fmt vet build exact race staticcheck
+check: fmt vet vet-cross build exact purego race staticcheck
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -24,6 +25,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# vet-cross type-checks the tree for arm64, where the sampler runs its
+# scalar loops and the amd64 assembly is not built: the non-amd64 stand-ins
+# for the vector kernels cannot rot unnoticed.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -35,6 +42,14 @@ test:
 # (DESIGN.md §7.5): every experiment table depends on this equality.
 exact:
 	$(GO) test ./internal/metrics -run TestTailTrackerMatchesReference -count=1
+
+# purego runs the sampler's scalar loops (the path of non-AVX2 hosts and
+# other architectures) through the packages that use it, and the golden
+# subset on that path: the AVX2 kernels and the scalar loops must both
+# reproduce GOLDEN.sha256 (DESIGN.md §9.6).
+purego:
+	$(GO) test -tags purego ./internal/sim ./internal/engine ./internal/queueing
+	$(GO) run -tags purego ./cmd/rhythm -quick -seed 2020 -jobs 1 run fig2 fig7 | sha256sum -c GOLDEN.sha256
 
 race:
 	$(GO) test -race -timeout 45m ./...
@@ -83,8 +98,11 @@ bench-gate:
 # seed-2020 run of the fig2+fig7 subset (Station.At, the batched path-tail
 # estimator, the profiling sweep, every RNG stream) must hash to the pinned
 # GOLDEN.sha256. Any change to produced float bits or draw order — however
-# small — fails this in ~4 s. The pin is amd64-specific (math.Log/Exp are
-# per-arch assembly); regenerate on other architectures before comparing.
+# small — fails this in ~4 s. The pin is amd64 with FMA: math.Exp's amd64
+# assembly takes another rounding path without FMA (about 9% of sampler
+# arguments round differently), so a non-FMA amd64 host cannot reproduce
+# it, and other architectures (their own math.Log/Exp) cannot either;
+# regenerate there before comparing.
 golden:
 	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run fig2 fig7 | sha256sum -c GOLDEN.sha256
 

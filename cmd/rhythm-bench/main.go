@@ -6,7 +6,7 @@
 //
 //	{
 //	  "schema": "rhythm-bench/v1",
-//	  "goos": "linux", "goarch": "amd64", "cpus": 8,
+//	  "goos": "linux", "goarch": "amd64", "cpus": 8, "kernels": "avx2",
 //	  "benchmarks": [
 //	    {"name": "EngineTick", "iters": 1234, "ns_per_op": 98765.4,
 //	     "allocs_per_op": 3, "bytes_per_op": 512},
@@ -14,11 +14,13 @@
 //	  ]
 //	}
 //
-// ns_per_op is wall time and varies with the host; allocs_per_op and
-// bytes_per_op are deterministic for a given build and are what the
-// acceptance gates compare across PRs. Benchmarks that call
-// b.ReportMetric also carry an "extras" object (FleetTick reports
-// "machines/s", the fleet-scale throughput gate).
+// kernels is the sampler implementation the host ran (sim.Kernels():
+// "avx2" or "scalar"); timings from hosts with different kernel sets are
+// not comparable, and -compare says so. ns_per_op is wall time and varies
+// with the host; allocs_per_op and bytes_per_op are deterministic for a
+// given build and are what the acceptance gates compare across PRs.
+// Benchmarks that call b.ReportMetric also carry an "extras" object
+// (FleetTick reports "machines/s", the fleet-scale throughput gate).
 //
 // Diff mode:
 //
@@ -52,6 +54,7 @@ import (
 
 	"rhythm/internal/benchmarks"
 	"rhythm/internal/cliflags"
+	"rhythm/internal/sim"
 )
 
 type result struct {
@@ -70,6 +73,7 @@ type report struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	CPUs       int      `json:"cpus"`
+	Kernels    string   `json:"kernels,omitempty"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
@@ -89,6 +93,9 @@ var registry = []struct {
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
 	{"ObsDisabled", benchmarks.ObsDisabled},
+	{"SamplerRadius", benchmarks.SamplerRadius},
+	{"SamplerAngle", benchmarks.SamplerAngle},
+	{"SamplerExp", benchmarks.SamplerExp},
 }
 
 // gated are the benchmarks -gate blocks on: the two acceptance-gate rows
@@ -142,10 +149,11 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	rep := report{
-		Schema: "rhythm-bench/v1",
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
+		Schema:  "rhythm-bench/v1",
+		GOOS:    runtime.GOOS,
+		GOARCH:  runtime.GOARCH,
+		CPUs:    runtime.NumCPU(),
+		Kernels: sim.Kernels(),
 	}
 	for _, entry := range registry {
 		r := testing.Benchmark(entry.fn)
@@ -235,6 +243,10 @@ func compareReports(oldPath, newPath string, gate bool, w io.Writer) error {
 		oldBy[r.Name] = r
 	}
 
+	if oldRep.Kernels != newRep.Kernels {
+		fmt.Fprintf(w, "note: sampler kernels differ (%s vs %s); ns/op is not comparable\n",
+			kernelsOrUnknown(oldRep.Kernels), kernelsOrUnknown(newRep.Kernels))
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tΔ ns/op\tΔ allocs/op\tΔ B/op\n")
 	seen := make(map[string]bool, len(newRep.Benchmarks))
@@ -269,4 +281,13 @@ func compareReports(oldPath, newPath string, gate bool, w io.Writer) error {
 		return fmt.Errorf("gate: %s", strings.Join(violations, "; "))
 	}
 	return nil
+}
+
+// kernelsOrUnknown names a report's kernel set; reports written before the
+// field existed carry none.
+func kernelsOrUnknown(k string) string {
+	if k == "" {
+		return "unrecorded"
+	}
+	return k
 }

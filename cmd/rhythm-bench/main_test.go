@@ -151,3 +151,30 @@ func TestCompareGate(t *testing.T) {
 		})
 	}
 }
+
+// TestCompareKernelsNote: reports from different sampler kernel sets (or
+// one that predates the field) are flagged as not comparable; matching
+// sets compare silently.
+func TestCompareKernelsNote(t *testing.T) {
+	dir := t.TempDir()
+	body := func(kernels string) string {
+		return `{"schema": "rhythm-bench/v1", ` + kernels + ` "benchmarks": [
+    {"name": "EngineTick", "iters": 1, "ns_per_op": 100, "allocs_per_op": 0, "bytes_per_op": 0}]}`
+	}
+	old := writeReport(t, dir, "old.json", body(""))
+	avx := writeReport(t, dir, "avx.json", body(`"kernels": "avx2",`))
+	var sb strings.Builder
+	if err := compareReports(old, avx, false, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "sampler kernels differ (unrecorded vs avx2)") {
+		t.Fatalf("no kernel-set note:\n%s", sb.String())
+	}
+	sb.Reset()
+	if err := compareReports(avx, avx, false, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "kernels differ") {
+		t.Fatalf("note on matching kernel sets:\n%s", sb.String())
+	}
+}

@@ -18,6 +18,10 @@
 //     both as ns/op and as a machines/s throughput metric (the
 //     datacenter-scale gate).
 //   - PathP99: the Monte Carlo path-tail estimator used by profiling.
+//   - SamplerRadius / SamplerAngle / SamplerExp: the batched lognormal
+//     sampler's three transcendental passes over one 512-element chunk,
+//     attributing EngineTickSample and PathP99 to the kernel that moved
+//     (which implementation runs is sim.Kernels()).
 //   - ObsDisabled: every observability emit point with no bus installed —
 //     the nil-check path the engine hot loop pays on untraced runs, pinned
 //     at 0 allocs/op (TestObsDisabledZeroAllocs).
@@ -227,6 +231,60 @@ func PathP99(b *testing.B) {
 		sink, buf = queueing.PathP99Into(buf, stages, n, rng)
 	}
 	_ = sink
+}
+
+// samplerChunk is the batched sampler's chunk extent (sim.sumBatch).
+const samplerChunk = 512
+
+// samplerInputs returns one chunk of the inputs each sampler pass sees:
+// nonzero uniforms (the radius and angle passes) and exp arguments
+// mu + sigma*z over the services' log-space sojourn range.
+func samplerInputs() (uniforms, args []float64) {
+	rng := sim.NewRNG(2020).Fork("bench-sampler")
+	uniforms = make([]float64, samplerChunk)
+	args = make([]float64, samplerChunk)
+	for i := range uniforms {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		uniforms[i] = u
+		args[i] = -4 + 0.5*rng.NormFloat64()
+	}
+	return uniforms, args
+}
+
+// samplerPass times pass over one chunk per op. Each op first restores the
+// chunk from src (a 4 KiB copy, part of ns/op), since every pass works in
+// place and its output is not a valid input to the next round.
+func samplerPass(b *testing.B, src []float64, pass func([]float64)) {
+	buf := make([]float64, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		pass(buf)
+	}
+}
+
+// SamplerRadius measures the Box-Muller radius pass, sqrt(-2 ln u).
+func SamplerRadius(b *testing.B) {
+	u, _ := samplerInputs()
+	samplerPass(b, u, sim.RadiusPass)
+}
+
+// SamplerAngle measures the angle pass, z *= cos(2πu), over radii.
+func SamplerAngle(b *testing.B) {
+	u, _ := samplerInputs()
+	z := append([]float64(nil), u...)
+	sim.RadiusPass(z)
+	samplerPass(b, z, func(buf []float64) { sim.AnglePass(buf, u) })
+}
+
+// SamplerExp measures the exp pass over the lognormal arguments.
+func SamplerExp(b *testing.B) {
+	_, args := samplerInputs()
+	samplerPass(b, args, sim.ExpPass)
 }
 
 // ObsDisabled measures the full set of observability emit points with no

@@ -19,6 +19,9 @@ func BenchmarkEngineTick(b *testing.B)        { EngineTick(b) }
 func BenchmarkFleetTick(b *testing.B)         { FleetTick(b) }
 func BenchmarkPathP99(b *testing.B)           { PathP99(b) }
 func BenchmarkObsDisabled(b *testing.B)       { ObsDisabled(b) }
+func BenchmarkSamplerRadius(b *testing.B)     { SamplerRadius(b) }
+func BenchmarkSamplerAngle(b *testing.B)      { SamplerAngle(b) }
+func BenchmarkSamplerExp(b *testing.B)        { SamplerExp(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

@@ -1,11 +1,7 @@
 package sim
 
-import "math"
-
-// sumBatch is the scratch extent (in draws×stages elements) of one
-// SumLognormals / LognormalDraws chunk: two float64 arrays of this size
-// live on the stack (8 KiB total), small enough to stay in L1 while the
-// four passes stream over them.
+// sumBatch is the element extent of one sampler chunk: the stack scratch
+// (4 KiB per array) stays in L1 while the passes stream over it.
 const sumBatch = 512
 
 // SumLognormals fills dst with len(dst) independent path sums over the
@@ -23,14 +19,8 @@ const sumBatch = 512
 // bit-identical to that loop's. Byte-determinism of the experiment tables
 // depends on both properties.
 //
-// Internally the work is restructured for throughput rather than
-// per-draw: uniforms for a chunk of draws are pulled from r in stream
-// order into stack scratch, then the radius pass (sqrt of log), the angle
-// pass (cos2pi) and the exp-accumulate pass each stream over the chunk as
-// a separate loop. Splitting the expensive kernels into per-kernel passes
-// keeps each loop's call target and branch pattern uniform, which is what
-// lets out-of-order execution overlap successive calls; the fused
-// per-draw form measures ~40% slower on random data. Zero heap
+// It is LognormalDraws into stack scratch followed by a left-to-right sum
+// of each draw's stages, the association of the plain loop. Zero heap
 // allocations.
 //
 // mu and sigma must have equal length; len(mu) == 0 zero-fills dst.
@@ -45,69 +35,18 @@ func SumLognormals(dst []float64, mu, sigma []float64, r *RNG) {
 		}
 		return
 	}
-	if k > sumBatch {
-		// Degenerate path depth; keep the frozen order with the plain
-		// per-draw loop rather than growing heap scratch.
-		for i := range dst {
-			t := 0.0
-			for s := 0; s < k; s++ {
-				t += math.Exp(mu[s] + sigma[s]*r.NormFloat64())
+	var vals, cs [sumBatch]float64
+	n := len(dst) * k
+	i, s, t := 0, 0, 0.0
+	for base := 0; base < n; base += sumBatch {
+		out := vals[:min(sumBatch, n-base)]
+		lognormalRun(out, cs[:], mu, sigma, s, r)
+		for _, v := range out {
+			t += v
+			if s++; s == k {
+				dst[i] = t
+				i, s, t = i+1, 0, 0
 			}
-			dst[i] = t
-		}
-		return
-	}
-	var zrs, css [sumBatch]float64
-	drawsPer := sumBatch / k
-	n := len(dst)
-	for base := 0; base < n; base += drawsPer {
-		m := drawsPer
-		if n-base < m {
-			m = n - base
-		}
-		e := m * k
-		zr := zrs[:e]
-		cs := css[:e]
-		// Pass 1: uniforms in the frozen stream order. u1 is redrawn
-		// while zero, exactly as NormFloat64 does.
-		for j := range zr {
-			u1 := r.Float64()
-			for u1 == 0 {
-				u1 = r.Float64()
-			}
-			zr[j] = u1
-			cs[j] = r.Float64()
-		}
-		// Pass 2: Box-Muller radius.
-		for j, u := range zr {
-			zr[j] = math.Sqrt(-2 * math.Log(u))
-		}
-		// Pass 3: Box-Muller angle, fused with the radius*angle product —
-		// after this pass zr holds the normal variates themselves. The
-		// product is the same single multiplication NormFloat64 performs.
-		// Two angles per call (cos2pi2) overlap the per-element serial
-		// reduction+polynomial chains, which is worth ~15% of the pass.
-		j := 0
-		for ; j+1 < len(cs); j += 2 {
-			c0, c1 := cos2pi2(cs[j], cs[j+1])
-			zr[j] *= c0
-			zr[j+1] *= c1
-		}
-		if j < len(cs) {
-			zr[j] *= cos2pi(cs[j])
-		}
-		// Pass 4: exponentiate and accumulate the path sums. The argument
-		// grouping mu + sigma*norm matches Lognormal.Sample bit-for-bit.
-		// Row re-slicing keeps every index provably in bounds so the inner
-		// loop is check-free.
-		out := dst[base : base+m]
-		for d := range out {
-			row := zr[d*k : d*k+k : d*k+k]
-			t := 0.0
-			for s, norm := range row {
-				t += math.Exp(mu[s] + sigma[s]*norm)
-			}
-			out[d] = t
 		}
 	}
 }
@@ -118,16 +57,21 @@ func SumLognormals(dst []float64, mu, sigma []float64, r *RNG) {
 //
 //	dst[i*k+s] = exp(mu[s] + sigma[s] * z_{i,s})
 //
-// where z_{i,s} are standard normal draws from r and k = len(mu). It is
-// SumLognormals without the row accumulation: the same frozen uniform
-// stream, the same chunked radius/angle/exp passes, but the per-stage
-// values are written out individually so the caller can combine them with
-// an association other than a left-to-right sum (the engine's latency
-// graphs nest chains to the right and take maxima across parallel fan-out,
-// so their per-draw combine is not a flat Σ). Every element is
+// where z_{i,s} are standard normal draws from r and k = len(mu). The
+// per-stage values are written out individually so the caller can combine
+// them with an association other than a left-to-right sum (the engine's
+// latency graphs nest chains to the right and take maxima across parallel
+// fan-out, so their per-draw combine is not a flat Σ). Every element is
 // bit-identical to the plain per-draw loop
 // `math.Exp(mu[s] + sigma[s]*r.NormFloat64())` in the same order, and r is
-// left at the same stream position. Zero heap allocations.
+// left at the same stream position.
+//
+// Internally dst is filled in chunks of sumBatch elements, each in four
+// passes: uniforms pulled from r in stream order, the Box-Muller radius,
+// the angle times the radius, and exp of mu + sigma*z. The three
+// transcendental passes run 4-lane vector kernels where the host has them
+// (kernels.go); splitting the work by pass, rather than per draw, is what
+// lets them. Zero heap allocations.
 //
 // mu and sigma must have equal length, and len(dst) must be a multiple of
 // k; len(mu) == 0 requires len(dst) == 0 and is a no-op.
@@ -145,62 +89,43 @@ func LognormalDraws(dst []float64, mu, sigma []float64, r *RNG) {
 	if len(dst)%k != 0 {
 		panic("sim: LognormalDraws dst not a multiple of stage count")
 	}
-	if k > sumBatch {
-		// Degenerate path depth; keep the frozen order with the plain
-		// per-draw loop rather than growing heap scratch.
-		for i := 0; i < len(dst); i += k {
-			row := dst[i : i+k]
-			for s := range row {
-				row[s] = math.Exp(mu[s] + sigma[s]*r.NormFloat64())
-			}
-		}
-		return
+	var cs [sumBatch]float64
+	for base := 0; base < len(dst); base += sumBatch {
+		out := dst[base:min(base+sumBatch, len(dst))]
+		lognormalRun(out, cs[:], mu, sigma, base%k, r)
 	}
-	var zrs, css [sumBatch]float64
-	drawsPer := sumBatch / k
-	n := len(dst) / k
-	for base := 0; base < n; base += drawsPer {
-		m := drawsPer
-		if n-base < m {
-			m = n - base
+}
+
+// lognormalRun fills out with the next len(out) elements of the
+// draw-major, stage-minor stream out[j] = exp(mu[s'] + sigma[s'] * z_j),
+// where the first element is at stage s' = s and each z_j consumes r as
+// one NormFloat64 call. cs is scratch of at least len(out) elements.
+func lognormalRun(out, cs, mu, sigma []float64, s int, r *RNG) {
+	cs = cs[:len(out)]
+	// Pass 1: uniforms in the frozen stream order. u1 is redrawn while
+	// zero, exactly as NormFloat64 does.
+	for j := range out {
+		u1 := r.Float64()
+		for u1 == 0 {
+			u1 = r.Float64()
 		}
-		e := m * k
-		zr := zrs[:e]
-		cs := css[:e]
-		// Pass 1: uniforms in the frozen stream order. u1 is redrawn
-		// while zero, exactly as NormFloat64 does.
-		for j := range zr {
-			u1 := r.Float64()
-			for u1 == 0 {
-				u1 = r.Float64()
-			}
-			zr[j] = u1
-			cs[j] = r.Float64()
-		}
-		// Pass 2: Box-Muller radius.
-		for j, u := range zr {
-			zr[j] = math.Sqrt(-2 * math.Log(u))
-		}
-		// Pass 3: Box-Muller angle fused with the radius*angle product,
-		// two angles per call — identical to SumLognormals' pass 3.
-		j := 0
-		for ; j+1 < len(cs); j += 2 {
-			c0, c1 := cos2pi2(cs[j], cs[j+1])
-			zr[j] *= c0
-			zr[j+1] *= c1
-		}
-		if j < len(cs) {
-			zr[j] *= cos2pi(cs[j])
-		}
-		// Pass 4: exponentiate element-wise into dst. The argument
-		// grouping mu + sigma*norm matches Lognormal.Sample bit-for-bit.
-		out := dst[base*k : base*k+e]
-		for d := 0; d < m; d++ {
-			row := zr[d*k : d*k+k : d*k+k]
-			o := out[d*k : d*k+k : d*k+k]
-			for s, norm := range row {
-				o[s] = math.Exp(mu[s] + sigma[s]*norm)
-			}
-		}
+		out[j] = u1
+		cs[j] = r.Float64()
 	}
+	// Passes 2 and 3: the radius, then times the angle — the single
+	// product NormFloat64 forms; out now holds the normal variates.
+	RadiusPass(out)
+	AnglePass(out, cs)
+	// Pass 4: the argument mu + sigma*z as an unfused multiply and add,
+	// grouped as Lognormal.Sample groups it, one stage run at a time so
+	// every index is provably in bounds; then exp in place.
+	for rest := out; len(rest) > 0; s = 0 {
+		seg := rest[:min(len(rest), len(mu)-s)]
+		m, sg := mu[s:s+len(seg)], sigma[s:s+len(seg)]
+		for q, z := range seg {
+			seg[q] = m[q] + sg[q]*z
+		}
+		rest = rest[len(seg):]
+	}
+	ExpPass(out)
 }
