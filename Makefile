@@ -1,7 +1,7 @@
 # Pre-PR gate for the Rhythm reproduction. `make check` is the bar every
 # change must clear (see README "Install / build"): formatting, vet (also
 # cross-compiled for arm64), a clean build, the differential-exactness test
-# for the incremental tail tracker (uncached, so it always actually runs),
+# for the batch-ring tail tracker (uncached, so it always actually runs),
 # the sampler's scalar path under the purego tag, and the full test suite
 # under the race detector — the experiment engine is concurrent, so -race
 # is part of tier-1 here, not an extra. The race run uses a raised timeout:
@@ -15,7 +15,7 @@ GO ?= go
 # CI always has network and runs it for real.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check fmt vet vet-cross build test exact purego race staticcheck bench bench-tables bench-compare bench-gate golden golden-update scenario-lint calibrate-smoke tournament-smoke
+.PHONY: check fmt vet vet-cross build test exact fuzz-smoke purego race staticcheck bench bench-tables bench-compare bench-gate golden golden-update scenario-lint calibrate-smoke tournament-smoke
 
 check: fmt vet vet-cross build exact purego race staticcheck
 
@@ -38,10 +38,20 @@ build:
 test:
 	$(GO) test ./...
 
-# exact pins the incremental TailTracker to the copy-and-sort oracle
-# (DESIGN.md §7.5): every experiment table depends on this equality.
+# exact pins the batch-ring TailTracker to the copy-and-sort oracle
+# (DESIGN.md §7.5): every experiment table depends on this equality. It
+# runs the randomized differential, the engine-pattern differential, the
+# metamorphic test and the FuzzTailTracker seed corpus, uncached.
 exact:
-	$(GO) test ./internal/metrics -run TestTailTrackerMatchesReference -count=1
+	$(GO) test ./internal/metrics -run 'TestTailTrackerMatchesReference|TestTailTrackerEnginePattern|TestTailTrackerMetamorphic|FuzzTailTracker' -count=1
+
+# fuzz-smoke fuzzes each target for 10 s: the sampler's exp and radius
+# kernels against their scalar oracles (DESIGN.md §9.6) and the tail
+# tracker against copy-and-sort. Go fuzzes one target per invocation.
+fuzz-smoke:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzExpKernel$$' -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRadiusKernel$$' -fuzztime 10s
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzTailTracker$$' -fuzztime 10s
 
 # purego runs the sampler's scalar loops (the path of non-AVX2 hosts and
 # other architectures) through the packages that use it, and the golden

@@ -85,6 +85,7 @@ var registry = []struct {
 }{
 	{"TailTrackerAdd", benchmarks.TailTrackerAdd},
 	{"TailTrackerAddP99", benchmarks.TailTrackerAddP99},
+	{"TailTrackerTickP99", benchmarks.TailTrackerTickP99},
 	{"EngineTick", benchmarks.EngineTick},
 	{"EngineTickDemand", benchmarks.EngineTickDemand},
 	{"EngineTickInflation", benchmarks.EngineTickInflation},

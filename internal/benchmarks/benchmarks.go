@@ -7,9 +7,13 @@
 // The benchmarks cover the per-sample unit economics of the measurement
 // pipeline:
 //
-//   - TailTrackerAdd / TailTrackerAddP99: sliding-window insert+evict cost,
-//     alone and interleaved with a p99 query per sample (the worst case
-//     for the tracker's lazy reconcile).
+//   - TailTrackerAdd / TailTrackerAddP99: sliding-window insert+evict cost
+//     with one sample per timestamp, alone and interleaved with a p99
+//     query per sample — a pattern no engine path produces, where every
+//     batch holds one sample and every query takes the copy path.
+//   - TailTrackerTickP99: the engine's real pattern — one 80-sample batch
+//     per 100 ms tick and one p99 every 10 ticks — where queries take the
+//     threshold path over the batch top lists.
 //   - EngineTick: one full engine tick — sojourn modeling, utilization
 //     accounting, SamplesPerTick end-to-end latency draws through the call
 //     graph, tail-tracker maintenance.
@@ -28,6 +32,7 @@
 package benchmarks
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -42,12 +47,17 @@ import (
 	"rhythm/internal/workload"
 )
 
-// benchWindow mirrors the engine's tracker window; benchSpacing yields the
-// same steady-state occupancy as the default engine configuration
-// (3 s window / 100 ms tick * 80 samples = 2400 live samples).
+// benchWindow mirrors the engine's tracker window. The single-sample rows
+// space their samples benchSpacing apart for the same steady-state
+// occupancy as the default engine configuration (3 s window / 100 ms tick
+// * 80 samples = 2400 live samples), but as 2400 one-sample batches;
+// TailTrackerTickP99 adds benchTickSamples per benchTick as the engine
+// does, 31 batches of 80.
 const (
-	benchWindow  = 3 * time.Second
-	benchSpacing = 1250 * time.Microsecond // 3s / 2400
+	benchWindow      = 3 * time.Second
+	benchSpacing     = 1250 * time.Microsecond // 3s / 2400
+	benchTick        = 100 * time.Millisecond
+	benchTickSamples = 80
 )
 
 // TailTrackerAdd measures the pure insert+evict path at steady-state
@@ -86,6 +96,39 @@ func TailTrackerAddP99(b *testing.B) {
 		now = now.Add(benchSpacing)
 		tt.Add(now, rng.Float64())
 		sink = tt.P99()
+	}
+	_ = sink
+}
+
+// TailTrackerTickP99 measures one engine tick's worth of tracker work:
+// one AddBatch of benchTickSamples lognormal latencies, plus a P99 on
+// every tenth tick (the once-per-second window observation). One op is
+// one tick. The latencies are drawn up front, cycling through 64 ticks'
+// worth, so the row times the tracker and not the RNG.
+func TailTrackerTickP99(b *testing.B) {
+	tt := metrics.NewTailTracker(benchWindow)
+	rng := sim.NewRNG(2020).Fork("bench-tail-tick")
+	pool := make([]float64, 64*benchTickSamples)
+	for i := range pool {
+		pool[i] = math.Exp(rng.NormFloat64())
+	}
+	now := sim.Time(0)
+	tick := func(i int) {
+		now = now.Add(benchTick)
+		at := i % 64 * benchTickSamples
+		tt.AddBatch(now, pool[at:at+benchTickSamples])
+	}
+	for i := 0; i < int(benchWindow/benchTick)+1; i++ {
+		tick(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		tick(i)
+		if i%10 == 0 {
+			sink = tt.P99()
+		}
 	}
 	_ = sink
 }

@@ -13,15 +13,16 @@ import (
 // cmd/rhythm-bench can run them through testing.Benchmark; these wrappers
 // expose them to `go test -bench`.
 
-func BenchmarkTailTrackerAdd(b *testing.B)    { TailTrackerAdd(b) }
-func BenchmarkTailTrackerAddP99(b *testing.B) { TailTrackerAddP99(b) }
-func BenchmarkEngineTick(b *testing.B)        { EngineTick(b) }
-func BenchmarkFleetTick(b *testing.B)         { FleetTick(b) }
-func BenchmarkPathP99(b *testing.B)           { PathP99(b) }
-func BenchmarkObsDisabled(b *testing.B)       { ObsDisabled(b) }
-func BenchmarkSamplerRadius(b *testing.B)     { SamplerRadius(b) }
-func BenchmarkSamplerAngle(b *testing.B)      { SamplerAngle(b) }
-func BenchmarkSamplerExp(b *testing.B)        { SamplerExp(b) }
+func BenchmarkTailTrackerAdd(b *testing.B)     { TailTrackerAdd(b) }
+func BenchmarkTailTrackerAddP99(b *testing.B)  { TailTrackerAddP99(b) }
+func BenchmarkTailTrackerTickP99(b *testing.B) { TailTrackerTickP99(b) }
+func BenchmarkEngineTick(b *testing.B)         { EngineTick(b) }
+func BenchmarkFleetTick(b *testing.B)          { FleetTick(b) }
+func BenchmarkPathP99(b *testing.B)            { PathP99(b) }
+func BenchmarkObsDisabled(b *testing.B)        { ObsDisabled(b) }
+func BenchmarkSamplerRadius(b *testing.B)      { SamplerRadius(b) }
+func BenchmarkSamplerAngle(b *testing.B)       { SamplerAngle(b) }
+func BenchmarkSamplerExp(b *testing.B)         { SamplerExp(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

@@ -418,7 +418,7 @@ type soaState struct {
 	// traversal order (stagePod maps stage -> pod row), per-stage
 	// lognormal parameters gathered per tick, the SamplesPerTick×stages
 	// draw matrix (draw-major stage-minor, the frozen RNG order), and the
-	// per-draw end-to-end latencies.
+	// per-draw end-to-end latencies (the plan root's column).
 	stagePod []int
 	stageMu  []float64
 	stageSig []float64
@@ -433,36 +433,70 @@ type soaState struct {
 }
 
 // samplePlan mirrors workload.Node with the component name resolved to a
-// stage index: eval replays Node.Latency's exact recursion — including
-// its right-nested chain association and strict > parallel max — over a
-// row of the draw matrix. The association matters: a flat left-to-right
-// sum over the same addends rounds differently, so the combine must copy
-// the walk, not just its multiset of terms.
+// stage index and a latency column per node: evalCols replays
+// Node.Latency's exact recursion — including its right-nested chain
+// association and strict > parallel max — over every row of the draw
+// matrix at once. The association matters: a flat left-to-right sum over
+// the same addends rounds differently, so the combine must copy the walk,
+// not just its multiset of terms.
 type samplePlan struct {
 	stage    int
 	parallel bool
 	children []*samplePlan
+	col      []float64 // this node's latency per draw row; unread for a non-root leaf
 }
 
-// eval is Node.Latency with sojourn(comp) replaced by vals[stage].
-func (n *samplePlan) eval(vals []float64) float64 {
-	t := vals[n.stage]
+// evalCols fills n.col[d] with Node.Latency over draw row d, with
+// sojourn(comp) replaced by vals[d*stages+stage]. Each node is one pass
+// over the rows, and every row sees the same additions and the same
+// strict > maxima, in the same order, as the recursive walk.
+func (n *samplePlan) evalCols(vals []float64, stages int) {
+	col, own := n.col, vals[n.stage:]
 	if len(n.children) == 0 {
-		return t
+		for d := range col {
+			col[d] = own[d*stages]
+		}
+		return
 	}
 	if n.parallel {
-		worst := 0.0
+		// worst starts at 0 and takes a child's latency only when it is
+		// strictly larger; t + worst is then the node's latency (float
+		// addition is commutative, so worst + t has the same bits).
+		clear(col)
 		for _, ch := range n.children {
-			if l := ch.eval(vals); l > worst {
-				worst = l
+			xs, stride := ch.column(vals, stages)
+			for d := range col {
+				if l := xs[d*stride]; l > col[d] {
+					col[d] = l
+				}
 			}
 		}
-		return t + worst
+		for d := range col {
+			col[d] += own[d*stages]
+		}
+		return
 	}
-	for _, ch := range n.children {
-		t += ch.eval(vals)
+	// t := sojourn; t += child, child by child.
+	xs, stride := n.children[0].column(vals, stages)
+	for d := range col {
+		col[d] = own[d*stages] + xs[d*stride]
 	}
-	return t
+	for _, ch := range n.children[1:] {
+		xs, stride := ch.column(vals, stages)
+		for d := range col {
+			col[d] += xs[d*stride]
+		}
+	}
+}
+
+// column evaluates n and returns where its latency for row d lives,
+// xs[d*stride]: a leaf is read straight from its draw-matrix column.
+func (n *samplePlan) column(vals []float64, stages int) (xs []float64, stride int) {
+	if len(n.children) == 0 {
+		return vals[n.stage:], stages
+	}
+	n.evalCols(vals, stages)
+	return n.col, 1
 }
 
 // Engine executes one configured run.
@@ -669,7 +703,7 @@ func (e *Engine) initSoA() {
 	s.stageMu = make([]float64, stages)
 	s.stageSig = make([]float64, stages)
 	s.vals = make([]float64, e.cfg.SamplesPerTick*stages)
-	s.lats = make([]float64, e.cfg.SamplesPerTick)
+	s.lats = s.plan.col
 	s.alpha = 1 - math.Exp(-e.cfg.TickDt.Seconds()/e.cfg.InertiaTau.Seconds())
 	s.dtHours = e.cfg.TickDt.Hours()
 	s.warmupAt = sim.Time(0).Add(e.cfg.Warmup)
@@ -677,10 +711,14 @@ func (e *Engine) initSoA() {
 
 // buildPlan flattens the call graph in Latency's traversal order (node
 // first, then children left to right — the order sampleFn is called in),
-// assigning each node the next stage index and recording which pod row it
-// samples.
+// assigning each node the next stage index, recording which pod row it
+// samples and allocating its SamplesPerTick latency column.
 func (e *Engine) buildPlan(n *workload.Node) *samplePlan {
-	p := &samplePlan{stage: len(e.soa.stagePod), parallel: n.Parallel}
+	p := &samplePlan{
+		stage:    len(e.soa.stagePod),
+		parallel: n.Parallel,
+		col:      make([]float64, e.cfg.SamplesPerTick),
+	}
 	e.soa.stagePod = append(e.soa.stagePod, e.podByName[n.Comp].idx)
 	for _, ch := range n.Children {
 		p.children = append(p.children, e.buildPlan(ch))
@@ -1048,9 +1086,7 @@ func (e *Engine) passSample(now sim.Time) {
 		s.stageMu[j], s.stageSig[j] = s.sjMu[pi], s.sjSigma[pi]
 	}
 	sim.LognormalDraws(s.vals, s.stageMu, s.stageSig, e.rng)
-	for d := 0; d < n; d++ {
-		s.lats[d] = s.plan.eval(s.vals[d*stages : (d+1)*stages])
-	}
+	s.plan.evalCols(s.vals, stages)
 	e.tail.AddBatch(now, s.lats)
 	if e.cfg.CollectSamples {
 		for d := 0; d < n; d++ {

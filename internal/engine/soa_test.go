@@ -255,3 +255,61 @@ func TestEvictionInvalidatesInstCache(t *testing.T) {
 		t.Fatal("eviction not surfaced to TakeEvicted")
 	}
 }
+
+// TestEvalColsMatchesLatency pins the column-wise combine to the
+// recursive walk it replaced: for every built-in service graph and a set
+// of hand-built shapes (a lone component, a long chain, sequential
+// siblings, a wide fan-out, a chain nested in a fan-out nested in a
+// chain), evalCols over a random draw matrix must give
+// Node.Latency's bits row by row, with stage j of row d standing in for
+// the j-th sojourn call of that row's walk.
+func TestEvalColsMatchesLatency(t *testing.T) {
+	leaf := func(c string) *workload.Node { return &workload.Node{Comp: c} }
+	graphs := map[string]*workload.Node{
+		"single": leaf("a"),
+		"chain": {Comp: "a", Children: []*workload.Node{{Comp: "b", Children: []*workload.Node{
+			{Comp: "c", Children: []*workload.Node{leaf("d")}}}}}},
+		"seq-siblings": {Comp: "a", Children: []*workload.Node{leaf("b"), leaf("c"), leaf("d")}},
+		"fan-out":      {Comp: "a", Parallel: true, Children: []*workload.Node{leaf("b"), leaf("c"), leaf("d"), leaf("e")}},
+		"nested": {Comp: "a", Children: []*workload.Node{
+			{Comp: "b", Parallel: true, Children: []*workload.Node{
+				{Comp: "c", Children: []*workload.Node{leaf("d"), leaf("e")}},
+				leaf("f"),
+				{Comp: "g", Parallel: true, Children: []*workload.Node{leaf("h"), leaf("a")}},
+			}},
+			leaf("c"),
+		}},
+	}
+	for _, svc := range workload.Services() {
+		graphs[svc.Name] = svc.Graph
+	}
+	const rows = 257
+	rng := sim.NewRNG(23).Fork("evalcols")
+	for name, g := range graphs {
+		e := &Engine{cfg: Config{SamplesPerTick: rows}, podByName: map[string]*podRuntime{}}
+		for i, c := range g.Components() {
+			e.podByName[c] = &podRuntime{idx: i}
+		}
+		plan := e.buildPlan(g)
+		stages := len(e.soa.stagePod)
+		vals := make([]float64, rows*stages)
+		for i := range vals {
+			vals[i] = math.Exp(rng.NormFloat64())
+			if i%7 == 0 {
+				vals[i] = float64(rng.Intn(3)) // ties exercise the strict > max
+			}
+		}
+		plan.evalCols(vals, stages)
+		for d := 0; d < rows; d++ {
+			row := vals[d*stages : (d+1)*stages]
+			k := 0
+			want := g.Latency(func(string) float64 { k++; return row[k-1] })
+			if k != stages {
+				t.Fatalf("%s: walk made %d sojourn calls, plan has %d stages", name, k, stages)
+			}
+			if got := plan.col[d]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s row %d: evalCols = %v, Latency = %v", name, d, got, want)
+			}
+		}
+	}
+}

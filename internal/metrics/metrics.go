@@ -4,25 +4,23 @@
 // EMU (effective machine utilization) throughput metric of §5.1.
 //
 // TailTracker is the hot path: every engine tick adds SamplesPerTick
-// samples but only every control tick queries the window p99, over
-// millions of requests per experiment. The cost model is therefore
-// write-heavy: storage is a plain ring buffer where adds and evictions are
-// O(1) slot writes with no value-order bookkeeping at all, and a query
-// copies the live window into a reused scratch buffer and runs the
-// deterministic Floyd–Rivest selection (`sim.SelectQuantile`) — O(W) per
-// query instead of the sorted-snapshot reconcile (batch sort + full-window
-// merge) the previous tracker paid on every queried window change. With
-// ~80 adds between queries that reconcile dominated the engine tick;
-// selection-on-read moves the entire cost to the rare reader. The results
-// are exact, not approximate: order statistics are permutation-invariant
-// and SelectQuantile is differentially pinned bit-equal to
-// sort+sim.QuantileSorted, so every quantile matches the seed tracker's
-// copy-and-sort to the last bit — the differential test in this package
-// pins that down (and `make check` runs it).
+// samples at one timestamp, and the once-per-second window observation and
+// every control tick read the window p99 (DESIGN.md §7.5). The tracker
+// stores the window as a ring of tick batches — one timestamp, a count and
+// the batch's top four values per batch — over a flat value ring, so
+// eviction drops whole batches and a p99 query reads the top lists plus
+// the few batches that reach the threshold they imply: about 130 values
+// instead of the ~2,480 a copy of the window holds. The results are
+// exact, not approximate: every excluded value lies below every collected
+// one, so the quantile's rank shifts by a known count and
+// sim.SelectQuantileTop returns the bits copy-and-sort would. The
+// differential tests in this package pin that against the seed tracker
+// (`make exact` runs them).
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rhythm/internal/sim"
@@ -36,32 +34,81 @@ import (
 // panicking.
 var Strict = strictDefault
 
-// sample is one (time, value) observation in arrival order.
-type sample struct {
+// topR is the length of a batch's top list. A p99 query over the
+// engine's window (31 batches of 80) needs the top 26 values; four per
+// batch gives 124 candidates, enough that the threshold they imply is
+// rarely reached by a batch's fourth value, while keeping the per-value
+// upkeep in AddBatch to one compare against top[topR-1].
+const topR = 4
+
+// batch is a run of consecutive samples that share one timestamp: n
+// values in the value ring from where the previous batch ends.
+type batch struct {
 	t sim.Time
-	v float64
+	n int
+}
+
+// topList holds a batch's topR largest values, descending. Only batches
+// with more than topR samples have one; a smaller batch is its own top
+// list, read straight from the value ring.
+type topList [topR]float64
+
+// merge folds vs into the list.
+func (top *topList) merge(vs []float64) {
+	floor := top[topR-1]
+	for _, v := range vs {
+		if v <= floor {
+			continue
+		}
+		k := topR - 1
+		for k > 0 && top[k-1] < v {
+			top[k] = top[k-1]
+			k--
+		}
+		top[k] = v
+		floor = top[topR-1]
+	}
 }
 
 // TailTracker keeps latency samples over a sliding window and reports tail
 // percentiles, mirroring the paper's per-second p99 monitoring.
 //
-// Storage is a power-of-two ring buffer: eviction recycles slots in place,
-// so the footprint is bounded by the window's high-water occupancy instead
-// of growing with the total number of samples ever added (the re-slicing
-// tracker this replaced leaked its head on every prune). There is no
-// value-order index: a query copies the live window into scratch and
-// selects the order statistic there, so writes touch exactly one ring slot.
+// Storage is three power-of-two rings: the sample values in arrival
+// order, one batch header per run of equal timestamps, and the top lists
+// of the batches larger than topR, in batch order. Eviction drops whole
+// batches from the head — every sample in a batch shares its timestamp,
+// so this evicts exactly what per-sample eviction would — and recycles
+// slots in place, so the footprint is bounded by the window's high-water
+// occupancy. A one-sample Add writes a value and a 16-byte header.
 type TailTracker struct {
 	window time.Duration
-	buf    []sample // ring storage; len(buf) is the capacity, a power of two
-	head   int      // index of the oldest live sample
-	n      int      // live samples
-	latest sim.Time // newest timestamp seen (Add clamps to this)
+	vals   []float64 // value ring; len(vals) is the capacity
+	head   int       // index of the oldest live value
+	n      int       // live values
+	bs     []batch   // batch ring
+	bhead  int       // index of the oldest live batch
+	nb     int       // live batches
+	tops   []topList // top-list ring: one per live batch with n > topR
+	thead  int       // index of the oldest live top list
+	nt     int       // live top lists
+	latest sim.Time  // newest timestamp seen (Add clamps to this)
 
-	// scratch is the query buffer: Quantile copies the live window values
-	// here and partially reorders them in place (SelectQuantile). Bounded
-	// by the window's high-water occupancy, like the ring.
+	// scratch and cand are the query buffers: Quantile gathers the
+	// window, or its candidates, into them and partially reorders them in
+	// place. Bounded by the window's high-water occupancy, like the rings.
 	scratch []float64
+	cand    []float64
+
+	// memo caches the last query: the window does not change between
+	// ObserveWindow and the control tick that follows it at the same
+	// instant. Every add and prune clears memoOK.
+	memoOK bool
+	memoQ  float64
+	memoV  float64
+
+	// paths counts queries by the path they took — [0] threshold, [1]
+	// copy — so tests can check that both are exercised.
+	paths [2]int
 
 	worstAt sim.Time
 	worst   float64
@@ -75,22 +122,41 @@ func NewTailTracker(window time.Duration) *TailTracker {
 	return &TailTracker{window: window}
 }
 
+// backwards handles a stamp before the latest time seen: the latest time
+// when clamping, a panic when Strict.
+func (tt *TailTracker) backwards(t sim.Time) sim.Time {
+	if Strict {
+		panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
+	}
+	return tt.latest
+}
+
 // Add records a latency sample observed at time t. Samples must arrive in
 // non-decreasing time order (the simulation is single-threaded); a
 // backwards t is clamped to the latest time seen, or panics when Strict.
 func (tt *TailTracker) Add(t sim.Time, v float64) {
-	if t < tt.latest {
-		if Strict {
-			panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
-		}
-		t = tt.latest
+	last := tt.latest
+	if t < last {
+		t = tt.backwards(t)
 	}
 	tt.latest = t
-	if tt.n == len(tt.buf) {
-		tt.grow()
+	tt.memoOK = false
+	if tt.n == len(tt.vals) {
+		tt.vals, tt.head = regrow(tt.vals, tt.head, tt.n, tt.n+1), 0
 	}
-	tt.buf[(tt.head+tt.n)&(len(tt.buf)-1)] = sample{t: t, v: v}
+	tt.vals[(tt.head+tt.n)&(len(tt.vals)-1)] = v
 	tt.n++
+	if tt.nb > 0 && t == last {
+		// Same instant as the last batch: nothing can have aged out
+		// since the last prune.
+		tt.extend(1)
+		return
+	}
+	if tt.nb == len(tt.bs) {
+		tt.bs, tt.bhead = regrow(tt.bs, tt.bhead, tt.nb, tt.nb+1), 0
+	}
+	tt.bs[(tt.bhead+tt.nb)&(len(tt.bs)-1)] = batch{t: t, n: 1}
+	tt.nb++
 	tt.prune(t)
 }
 
@@ -102,77 +168,226 @@ func (tt *TailTracker) AddBatch(t sim.Time, vs []float64) {
 	if len(vs) == 0 {
 		return
 	}
-	if t < tt.latest {
-		if Strict {
-			panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
-		}
-		t = tt.latest
+	last := tt.latest
+	if t < last {
+		t = tt.backwards(t)
 	}
 	tt.latest = t
-	for tt.n+len(vs) > len(tt.buf) {
-		tt.grow()
+	tt.memoOK = false
+	if tt.n+len(vs) > len(tt.vals) {
+		tt.vals, tt.head = regrow(tt.vals, tt.head, tt.n, tt.n+len(vs)), 0
 	}
-	mask := len(tt.buf) - 1
-	for i, v := range vs {
-		tt.buf[(tt.head+tt.n+i)&mask] = sample{t: t, v: v}
+	i := (tt.head + tt.n) & (len(tt.vals) - 1)
+	if k := copy(tt.vals[i:], vs); k < len(vs) {
+		copy(tt.vals, vs[k:])
 	}
 	tt.n += len(vs)
+	if tt.nb == 0 || t != last {
+		if tt.nb == len(tt.bs) {
+			tt.bs, tt.bhead = regrow(tt.bs, tt.bhead, tt.nb, tt.nb+1), 0
+		}
+		tt.bs[(tt.bhead+tt.nb)&(len(tt.bs)-1)] = batch{t: t}
+		tt.nb++
+	}
+	tt.extend(len(vs))
 	tt.prune(t)
 }
 
-// grow doubles the ring (64 slots minimum), restoring arrival order from
-// the head.
-func (tt *TailTracker) grow() {
-	newCap := len(tt.buf) * 2
-	if newCap == 0 {
-		newCap = 64
+// extend grows the last batch by the k values just appended to the value
+// ring, keeping its top list: a batch that now exceeds topR for the first
+// time gets one built from all its values, an older one merges the new
+// values.
+func (tt *TailTracker) extend(k int) {
+	b := &tt.bs[(tt.bhead+tt.nb-1)&(len(tt.bs)-1)]
+	old := b.n
+	b.n += k
+	if b.n <= topR {
+		return
 	}
-	buf := make([]sample, newCap)
-	for i := 0; i < tt.n; i++ {
-		buf[i] = tt.buf[(tt.head+i)&(len(tt.buf)-1)]
+	var top *topList
+	if old > topR {
+		top = &tt.tops[(tt.thead+tt.nt-1)&(len(tt.tops)-1)]
+	} else {
+		if tt.nt == len(tt.tops) {
+			tt.tops, tt.thead = regrow(tt.tops, tt.thead, tt.nt, tt.nt+1), 0
+		}
+		top = &tt.tops[(tt.thead+tt.nt)&(len(tt.tops)-1)]
+		tt.nt++
+		// Every value beats -Inf, so merging the whole batch fills
+		// the list with its topR largest.
+		for i := range top {
+			top[i] = math.Inf(-1)
+		}
+		k = b.n
 	}
-	tt.buf = buf
-	tt.head = 0
+	lo, hi := tt.segment(tt.head+tt.n-k, k)
+	top.merge(lo)
+	top.merge(hi)
 }
 
-// prune drops samples older than the window.
+// segment returns the k ring values from index at (taken modulo the
+// capacity) as at most two slices, in arrival order.
+func (tt *TailTracker) segment(at, k int) (lo, hi []float64) {
+	at &= len(tt.vals) - 1
+	if at+k <= len(tt.vals) {
+		return tt.vals[at : at+k], nil
+	}
+	return tt.vals[at:], tt.vals[:at+k-len(tt.vals)]
+}
+
+// regrow returns a copy of ring with room for size entries: the capacity
+// doubles (from a floor of 16) until it fits, staying a power of two, and
+// the n live entries from head move to the front in order.
+func regrow[T any](ring []T, head, n, size int) []T {
+	c := max(16, len(ring))
+	for c < size {
+		c *= 2
+	}
+	out := make([]T, c)
+	for i := range n {
+		out[i] = ring[(head+i)&(len(ring)-1)]
+	}
+	return out
+}
+
+// copyWindow copies the live values into dst in arrival order.
+func (tt *TailTracker) copyWindow(dst []float64) {
+	lo, hi := tt.segment(tt.head, tt.n)
+	copy(dst[copy(dst, lo):], hi)
+}
+
+// prune drops the batches older than the window.
 func (tt *TailTracker) prune(now sim.Time) {
-	for tt.n > 0 {
-		if now.Sub(tt.buf[tt.head].t) <= tt.window {
-			break
+	for tt.nb > 0 {
+		b := tt.bs[tt.bhead]
+		if now.Sub(b.t) <= tt.window {
+			return
 		}
-		tt.head = (tt.head + 1) & (len(tt.buf) - 1)
-		tt.n--
+		tt.head = (tt.head + b.n) & (len(tt.vals) - 1)
+		tt.n -= b.n
+		if b.n > topR {
+			tt.thead = (tt.thead + 1) & (len(tt.tops) - 1)
+			tt.nt--
+		}
+		tt.bhead = (tt.bhead + 1) & (len(tt.bs) - 1)
+		tt.nb--
 	}
 }
 
 // N returns the number of samples currently in the window.
 func (tt *TailTracker) N() int { return tt.n }
 
-// Cap returns the ring capacity in samples. It is bounded by twice the
-// window's high-water occupancy (plus the 64-slot floor) — the regression
-// test for the old tracker's unbounded growth reads it.
-func (tt *TailTracker) Cap() int { return len(tt.buf) }
+// Cap returns the value ring's capacity in samples. It is bounded by twice
+// the window's high-water occupancy (plus the 16-slot floor) — the
+// regression test for the old tracker's unbounded growth reads it.
+func (tt *TailTracker) Cap() int { return len(tt.vals) }
 
-// Quantile returns the q-quantile over the current window (0 when empty).
-// It copies the live window into scratch and runs sim.SelectQuantile —
-// bit-equal to sorting the copy and evaluating sim.QuantileSorted (the
-// seed tracker's computation), since order statistics are invariant under
-// permutation and SelectQuantile is differentially pinned against exactly
-// that oracle.
+// Quantile returns the q-quantile over the current window (0 when empty),
+// bit-identical to sorting a copy of the window and evaluating
+// sim.QuantileSorted (the seed tracker's computation).
+//
+// The quantile reads the window's need = n - floor(q(n-1)) largest
+// values. When the top lists — a small batch counting as its own — are
+// small against the window and hold at least need values, τ is the
+// need-th largest of them; the window's need-th largest is then >= τ, so
+// the set X of window values >= τ holds every value the quantile reads,
+// and everything outside X is below it. A batch whose fourth-largest
+// value is below τ contributes from its top list alone; the rest (about
+// 1% of batches at p99) are scanned. sim.SelectQuantileTop then selects
+// in X with the rank shifted by n-|X|. Otherwise — single-sample batches,
+// q <= 0, top lists as large as a quarter of the window — the query
+// copies the window and selects there.
 func (tt *TailTracker) Quantile(q float64) float64 {
 	if tt.n == 0 {
 		return 0
 	}
-	if cap(tt.scratch) < tt.n {
-		tt.scratch = make([]float64, tt.n)
+	if tt.memoOK && tt.memoQ == q {
+		return tt.memoV
 	}
-	xs := tt.scratch[:tt.n]
-	mask := len(tt.buf) - 1
-	for i := range xs {
-		xs[i] = tt.buf[(tt.head+i)&mask].v
+	v := tt.quantile(q)
+	tt.memoOK, tt.memoQ, tt.memoV = true, q, v
+	return v
+}
+
+func (tt *TailTracker) quantile(q float64) float64 {
+	n := tt.n
+	need := n // values from the top the quantile reads; pos as in SelectQuantileTop
+	if q >= 1 {
+		need = 1
+	} else if q > 0 {
+		need = n - int(q*float64(n-1))
 	}
+	if 4*tt.nb*topR <= n {
+		if tau, ok := tt.threshold(need); ok {
+			tt.paths[0]++
+			return sim.SelectQuantileTop(tt.collect(tau), n, q)
+		}
+	}
+	tt.paths[1]++
+	if cap(tt.scratch) < n {
+		tt.scratch = make([]float64, n)
+	}
+	xs := tt.scratch[:n]
+	tt.copyWindow(xs)
 	return sim.SelectQuantile(xs, q)
+}
+
+// threshold returns τ, the need-th largest value among the top lists, or
+// false when they hold fewer than need values.
+func (tt *TailTracker) threshold(need int) (float64, bool) {
+	cand := tt.cand[:0]
+	at, ti := tt.head, tt.thead
+	for i := 0; i < tt.nb; i++ {
+		b := tt.bs[(tt.bhead+i)&(len(tt.bs)-1)]
+		if b.n > topR {
+			cand = append(cand, tt.tops[ti][:]...)
+			ti = (ti + 1) & (len(tt.tops) - 1)
+		} else {
+			lo, hi := tt.segment(at, b.n)
+			cand = append(append(cand, lo...), hi...)
+		}
+		at += b.n
+	}
+	tt.cand = cand
+	if need > len(cand) {
+		return 0, false
+	}
+	// Ascending rank len-need is the need-th largest.
+	return sim.SelectRank(cand, len(cand)-need), true
+}
+
+// collect gathers X, every window value >= tau, into scratch.
+func (tt *TailTracker) collect(tau float64) []float64 {
+	xs := tt.scratch[:0]
+	at, ti := tt.head, tt.thead
+	for i := 0; i < tt.nb; i++ {
+		b := tt.bs[(tt.bhead+i)&(len(tt.bs)-1)]
+		if b.n > topR {
+			top := &tt.tops[ti]
+			ti = (ti + 1) & (len(tt.tops) - 1)
+			if top[topR-1] < tau {
+				// Every value of the batch >= tau is in its top list.
+				xs = appendAtLeast(xs, top[:], tau)
+				at += b.n
+				continue
+			}
+		}
+		lo, hi := tt.segment(at, b.n)
+		xs = appendAtLeast(appendAtLeast(xs, lo, tau), hi, tau)
+		at += b.n
+	}
+	tt.scratch = xs
+	return xs
+}
+
+// appendAtLeast appends the values of vs that are >= tau to xs.
+func appendAtLeast(xs, vs []float64, tau float64) []float64 {
+	for _, v := range vs {
+		if v >= tau {
+			xs = append(xs, v)
+		}
+	}
+	return xs
 }
 
 // P99 returns the 99th percentile over the current window.

@@ -107,7 +107,7 @@ func TestTailTrackerBoundedCapacity(t *testing.T) {
 		tt.Add(now, rng.Float64())
 	}
 	maxLive := perSecond*int(window/time.Second) + 1
-	// Ring capacity: next power of two above occupancy, 64 floor, one
+	// Ring capacity: next power of two above occupancy, 16 floor, one
 	// doubling of headroom.
 	if tt.Cap() > 4*maxLive {
 		t.Fatalf("ring capacity %d after 1M adds; occupancy never exceeded %d", tt.Cap(), maxLive)

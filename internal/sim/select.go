@@ -19,11 +19,29 @@ import "math"
 //
 // An empty xs returns 0, like Quantile.
 func SelectQuantile(xs []float64, q float64) float64 {
-	n := len(xs)
+	return SelectQuantileTop(xs, len(xs), q)
+}
+
+// SelectQuantileTop is SelectQuantile over an n-element multiset of which
+// the caller passes only the top: xs must hold every element >= some
+// threshold and nothing else, and every omitted element must be below it.
+// The omitted n-len(xs) elements then occupy the bottom ranks, so rank r of
+// the multiset is rank r-(n-len(xs)) of xs and the result is bit-identical
+// to SelectQuantile over the whole multiset. xs must reach down to the
+// interpolation's lower rank: len(xs) >= n - floor(q*(n-1)), which is all
+// of it for q <= 0. metrics.TailTracker calls this with the values at or
+// above a threshold read off its per-batch top lists.
+//
+// xs is partially reordered in place. n == 0 returns 0.
+func SelectQuantileTop(xs []float64, n int, q float64) float64 {
 	if n == 0 {
 		return 0
 	}
+	off := n - len(xs)
 	if q <= 0 {
+		if off != 0 {
+			panic("sim: SelectQuantileTop: q <= 0 needs the whole multiset")
+		}
 		return minOf(xs)
 	}
 	if q >= 1 {
@@ -32,18 +50,22 @@ func SelectQuantile(xs []float64, q float64) float64 {
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	floydRivestSelect(xs, lo)
-	if lo == hi {
-		return xs[lo]
+	k := lo - off
+	if k < 0 {
+		panic("sim: SelectQuantileTop: xs does not reach the quantile's rank")
 	}
-	// After selection everything right of lo is >= xs[lo], so the next
+	lower := SelectRank(xs, k)
+	if lo == hi {
+		return lower
+	}
+	// After selection everything right of k is >= xs[k], so the next
 	// order statistic is the minimum of that suffix — one linear scan
 	// instead of a second selection.
-	next := minOf(xs[lo+1:])
+	next := minOf(xs[k+1:])
 	frac := pos - float64(lo)
 	// The interpolation expression mirrors QuantileSorted exactly; the
 	// differential test pins equality bit-for-bit.
-	return xs[lo]*(1-frac) + next*frac
+	return lower*(1-frac) + next*frac
 }
 
 func minOf(xs []float64) float64 {
@@ -66,13 +88,15 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// floydRivestSelect partially reorders a so that a[k] holds the k-th
-// smallest element, everything left of k is <= a[k] and everything right
-// is >= a[k]. It is the classic Floyd–Rivest SELECT (CACM 18(3), 1975) —
-// deterministic, no RNG involvement (the estimator must not perturb any
-// simulation stream).
-func floydRivestSelect(a []float64, k int) {
-	frSelect(a, 0, len(a)-1, k)
+// SelectRank partially reorders xs so that xs[k] holds its k-th smallest
+// element (0-based) and returns it: everything left of k is <= xs[k] and
+// everything right of it is >= xs[k]. It is the classic Floyd–Rivest
+// SELECT (CACM 18(3), 1975) — deterministic, no RNG involvement (the
+// estimator must not perturb any simulation stream). Inputs must be
+// NaN-free, as for SelectQuantile.
+func SelectRank(xs []float64, k int) float64 {
+	frSelect(xs, 0, len(xs)-1, k)
+	return xs[k]
 }
 
 func frSelect(a []float64, left, right, k int) {

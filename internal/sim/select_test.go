@@ -122,3 +122,72 @@ func TestSelectQuantileZeroAllocs(t *testing.T) {
 		t.Fatalf("SelectQuantile allocates %.1f per op, want 0", allocs)
 	}
 }
+
+// TestSelectQuantileTopMatchesSortOracle pins the partial-multiset entry
+// point: handed only the elements >= some threshold (the threshold drawn
+// at or below the rank the quantile reads, ties included), it must return
+// the oracle's bits over the whole multiset.
+func TestSelectQuantileTopMatchesSortOracle(t *testing.T) {
+	r := NewRNG(0x70B)
+	quantiles := []float64{0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(900)
+		xs := make([]float64, n)
+		for i := range xs {
+			if trial%2 == 0 {
+				xs[i] = float64(r.Intn(6)) // heavy ties at the threshold
+			} else {
+				xs[i] = r.Float64()
+			}
+		}
+		q := quantiles[trial%len(quantiles)]
+		want := oracleQuantile(xs, q)
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		lo := int(q * float64(n-1))
+		tau := s[r.Intn(lo+1)] // any threshold at or below rank lo
+		var top []float64
+		for _, v := range xs {
+			if v >= tau {
+				top = append(top, v)
+			}
+		}
+		if got := SelectQuantileTop(top, n, q); got != want {
+			t.Fatalf("trial %d n=%d q=%v |top|=%d: SelectQuantileTop = %v, oracle = %v",
+				trial, n, q, len(top), got, want)
+		}
+	}
+}
+
+// TestSelectQuantileTopShortPanics pins the precondition: a top set that
+// does not reach the quantile's rank is a caller bug, not a wrong answer.
+func TestSelectQuantileTopShortPanics(t *testing.T) {
+	for _, q := range []float64{0, 0.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("q=%v: SelectQuantileTop accepted a short top set", q)
+				}
+			}()
+			SelectQuantileTop([]float64{3, 4}, 10, q)
+		}()
+	}
+}
+
+// TestSelectRank checks the rank selector against a sort.
+func TestSelectRank(t *testing.T) {
+	r := NewRNG(0x5E1)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(1500)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(50))
+		}
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		k := r.Intn(n)
+		if got := SelectRank(xs, k); got != s[k] {
+			t.Fatalf("trial %d: SelectRank(%d) = %v, want %v", trial, k, got, s[k])
+		}
+	}
+}
